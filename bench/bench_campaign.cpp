@@ -215,7 +215,8 @@ int main(int argc, char** argv) {
   ad_cfg.threads = 1;
   ad_cfg.adaptive.enabled = true;
   ad_cfg.adaptive.round_trials = 16;
-  ad_cfg.adaptive.target_rel_ci = 0.10;
+  ad_cfg.adaptive.rules = {
+      {StoppingRule::Metric::MeanLifetime, 0.99, 0.10, 0.5}};
   ad_cfg.adaptive.max_trials_per_cell = 192;
   CampaignResult adaptive_result;
   const double ad_ns = recorder.time_and_add(
@@ -226,7 +227,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nAdaptive sampling (target rel-CI %.2f, rounds of %llu, cap "
               "%llu):\n\n",
-              ad_cfg.adaptive.target_rel_ci,
+              ad_cfg.adaptive.rules[0].target_rel,
               static_cast<unsigned long long>(ad_cfg.adaptive.round_trials),
               static_cast<unsigned long long>(
                   ad_cfg.adaptive.max_trials_per_cell));
@@ -276,8 +277,10 @@ int main(int argc, char** argv) {
   steal_cfg.threads = 4;
   steal_cfg.adaptive.enabled = true;
   steal_cfg.adaptive.round_trials = 32;
-  steal_cfg.adaptive.target_rel_ci = 0.02;  // unreachable for noisy cells
-  steal_cfg.adaptive.abs_ci_floor = 0.5;    // closes the calm cells early
+  // A 2% target is unreachable for the noisy cells; the half-step floor
+  // closes the calm ones early.
+  steal_cfg.adaptive.rules = {
+      {StoppingRule::Metric::MeanLifetime, 0.99, 0.02, 0.5}};
   steal_cfg.adaptive.max_trials_per_cell = 256;
 
   std::printf("\nWork-stealing rounds (%zu cells: %zu calm + 2 noisy, cap "

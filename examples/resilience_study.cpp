@@ -103,21 +103,22 @@ void live_campaign_section() {
   }
 
   // Adaptive sampling: rounds of trials flow to the cells whose lifetime
-  // CI is still wide; a cell stops once its CI half-width is within
-  // target_rel_ci of its mean (or at the cap). The per-cell trial counts
-  // below show where the budget actually went.
+  // CI is still wide; a cell stops once its CI half-width is within 18% of
+  // its mean (or at the cap). The per-cell trial counts below show where
+  // the budget actually went.
   scenario::CampaignConfig cfg;
   cfg.base_seed = 2026;
   cfg.adaptive.enabled = true;
   cfg.adaptive.round_trials = 20;
-  cfg.adaptive.target_rel_ci = 0.18;
+  cfg.adaptive.rules = {
+      {scenario::StoppingRule::Metric::MeanLifetime, 0.99, 0.18, 0.5}};
   cfg.adaptive.max_trials_per_cell = 240;
   scenario::CampaignResult result = scenario::run_campaign(cells, cfg);
 
   std::printf("\nLive campaign cross-check (adaptive: rounds of %llu, stop "
               "at rel-CI %.2f, cap %llu; alpha = omega/chi):\n",
               static_cast<unsigned long long>(cfg.adaptive.round_trials),
-              cfg.adaptive.target_rel_ci,
+              cfg.adaptive.rules[0].target_rel,
               static_cast<unsigned long long>(
                   cfg.adaptive.max_trials_per_cell));
   std::printf("%20s %6s %7s %7s %12s %22s %12s\n", "plan", "system", "trials",

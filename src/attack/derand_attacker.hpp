@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "osl/machine.hpp"
@@ -58,6 +59,18 @@ struct AttackerStats {
   std::uint64_t crashes_caused = 0;     ///< observed via connection aborts
   std::uint64_t compromises = 0;        ///< owned-acks received
   std::uint64_t keys_learned = 0;
+
+  /// The field list (common/fields.hpp); every counter sums across trials.
+  static constexpr auto fields() {
+    using S = AttackerStats;
+    using fields::field;
+    return std::tuple{field("direct_probes", &S::direct_probes),
+                      field("indirect_probes", &S::indirect_probes),
+                      field("crashes_caused", &S::crashes_caused),
+                      field("compromises", &S::compromises),
+                      field("keys_learned", &S::keys_learned)};
+  }
+  void merge(const AttackerStats& o) { fields::merge(*this, o); }
 };
 
 class DerandAttacker final : public net::Handler {

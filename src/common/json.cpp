@@ -112,6 +112,68 @@ const std::vector<std::pair<std::string, Value>>& Value::members(
   return members_;
 }
 
+// ---------------------------------------------------------------------------
+// ObjectReader
+// ---------------------------------------------------------------------------
+
+ObjectReader::ObjectReader(const Value& v, std::string ctx)
+    : ctx_(std::move(ctx)), members_(v.members(ctx_)),
+      used_(members_.size(), false) {}
+
+const Value& ObjectReader::required(const char* key) {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i].first == key) {
+      used_[i] = true;
+      return members_[i].second;
+    }
+  }
+  fail(ctx_ + ": missing required key \"" + key + "\"");
+}
+
+double ObjectReader::dbl(const char* key) {
+  return required(key).as_double(member_ctx(key));
+}
+
+bool ObjectReader::boolean(const char* key) {
+  return required(key).as_bool(member_ctx(key));
+}
+
+std::uint64_t ObjectReader::u64(const char* key) {
+  return required(key).as_u64(member_ctx(key));
+}
+
+std::uint32_t ObjectReader::u32(const char* key) {
+  const std::uint64_t v = u64(key);
+  if (v > 0xFFFFFFFFull) {
+    fail(member_ctx(key) + ": value " + std::to_string(v) +
+         " does not fit in 32 bits");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+int ObjectReader::int32(const char* key) {
+  const std::int64_t v = required(key).as_i64(member_ctx(key));
+  if (v < INT32_MIN || v > INT32_MAX) {
+    fail(member_ctx(key) + ": value " + std::to_string(v) +
+         " does not fit in 32 bits");
+  }
+  return static_cast<int>(v);
+}
+
+const std::string& ObjectReader::str(const char* key) {
+  return required(key).as_string(member_ctx(key));
+}
+
+const std::vector<Value>& ObjectReader::array(const char* key) {
+  return required(key).as_array(member_ctx(key));
+}
+
+void ObjectReader::done() const {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (!used_[i]) fail(ctx_ + ": unknown key \"" + members_[i].first + "\"");
+  }
+}
+
 Value Value::make_null() { return Value{}; }
 Value Value::make_bool(bool b) {
   Value v;
@@ -552,6 +614,25 @@ void reemit(Writer& w, const Value& v) {
       w.end_object();
       break;
   }
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t parse_hex64(const std::string& s, const std::string& ctx) {
+  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') {
+    fail(ctx + ": expected \"0x\" + 16 hex digits, got \"" + s + "\"");
+  }
+  std::uint64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    fail(ctx + ": invalid hex literal \"" + s + "\"");
+  }
+  return v;
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

@@ -87,6 +87,38 @@ class Value {
   std::vector<std::pair<std::string, Value>> members_;
 };
 
+/// Strict object reader for the fixed-layout codecs (plans, campaign specs,
+/// shard sidecars): each accessor marks its member consumed, and done()
+/// rejects members the codec never asked for — that is what turns an
+/// unknown or misspelled key into a load-time error instead of a silently
+/// default-valued field. Every error names the member path. The reader
+/// refers to `v`'s members; `v` must outlive it.
+class ObjectReader {
+ public:
+  ObjectReader(const Value& v, std::string ctx);
+
+  const Value& required(const char* key);
+  /// The member path of `key` for error messages ("plan.attack.seed").
+  std::string member_ctx(const char* key) const { return ctx_ + "." + key; }
+
+  double dbl(const char* key);
+  bool boolean(const char* key);
+  std::uint64_t u64(const char* key);
+  /// u64 range-checked to 32 bits: larger values throw instead of wrapping.
+  std::uint32_t u32(const char* key);
+  int int32(const char* key);
+  const std::string& str(const char* key);
+  const std::vector<Value>& array(const char* key);
+
+  /// Call after reading every expected key.
+  void done() const;
+
+ private:
+  std::string ctx_;
+  const std::vector<std::pair<std::string, Value>>& members_;
+  std::vector<bool> used_;
+};
+
 /// Strict parse of one complete JSON document. Throws ParseError (with byte
 /// offset) on any deviation from RFC 8259 plus these extra strictures:
 /// duplicate object keys and any bytes after the document are rejected.
@@ -143,6 +175,12 @@ class Writer {
 /// preserved. This is how a wrapper document (corpus entry, campaign spec)
 /// hands an embedded subtree to a strict sub-codec that only takes text.
 void reemit(Writer& w, const Value& v);
+
+/// "0x" + 16 lowercase hex digits: how fixtures, sidecars and reports pin
+/// u64 digests and double bit patterns.
+std::string hex64(std::uint64_t v);
+/// Inverse of hex64; throws ParseError naming `ctx` on any other shape.
+std::uint64_t parse_hex64(const std::string& s, const std::string& ctx);
 
 /// FNV-1a 64-bit over a byte string — the digest primitive the plan codec
 /// and corpus fixtures use (offset basis 14695981039346656037, prime

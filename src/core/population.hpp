@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/directory.hpp"
@@ -48,9 +49,9 @@
 namespace fortress::core {
 
 /// Population-plane aggregates of one trial (all zero when the plan has no
-/// PopulationSpec). merge() is the exact cell reduction — sums and an
-/// elementwise histogram add — so campaign aggregates stay bit-identical
-/// for any trial batching.
+/// PopulationSpec). merge() is the exact cell reduction over fields() — sums
+/// and an elementwise histogram add — so campaign aggregates stay
+/// bit-identical for any trial batching.
 struct PopulationStats {
   std::uint64_t offered = 0;    ///< requests submitted (excluding retries)
   std::uint64_t completed = 0;  ///< accepted responses
@@ -64,7 +65,20 @@ struct PopulationStats {
   /// Submit-to-completion latency of every completed request.
   LatencyHistogram latency;
 
-  void merge(const PopulationStats& o);
+  /// The field list (common/fields.hpp).
+  static constexpr auto fields() {
+    using S = PopulationStats;
+    using fields::field;
+    return std::tuple{field("offered", &S::offered),
+                      field("completed", &S::completed),
+                      field("timed_out", &S::timed_out),
+                      field("gave_up", &S::gave_up),
+                      field("retries", &S::retries),
+                      field("rejected_responses", &S::rejected_responses),
+                      field("skipped_busy", &S::skipped_busy),
+                      field("latency_bins", &S::latency)};
+  }
+  void merge(const PopulationStats& o) { fields::merge(*this, o); }
 };
 
 class ClientPopulation final : public net::Handler {

@@ -10,24 +10,6 @@
 
 namespace fortress::scenario {
 
-void TrafficStats::merge(const TrafficStats& o) {
-  offered += o.offered;
-  completed += o.completed;
-  timed_out += o.timed_out;
-  gave_up += o.gave_up;
-  retries += o.retries;
-  rejected_responses += o.rejected_responses;
-  enqueued += o.enqueued;
-  served += o.served;
-  shed += o.shed;
-  backpressured += o.backpressured;
-  degraded += o.degraded;
-  dropped_on_reboot += o.dropped_on_reboot;
-  max_queue_depth = std::max(max_queue_depth, o.max_queue_depth);
-  goodput += o.goodput;
-  latency.merge(o.latency);
-}
-
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t cell,
                          std::uint64_t trial) {
   // Absorb base, cell and trial through SEQUENTIAL SplitMix64 finalizations
@@ -282,15 +264,6 @@ TrialOutcome TrialArena::run(model::SystemKind system,
   return drive_trial(sim_, *live_, plan, seed, &attacker_pool_, &population_);
 }
 
-std::vector<StoppingRule> AdaptiveConfig::effective_rules() const {
-  if (!rules.empty()) return rules;
-  StoppingRule def;
-  def.metric = StoppingRule::Metric::MeanLifetime;
-  def.target_rel = target_rel_ci;
-  def.abs_floor = abs_ci_floor;
-  return {def};
-}
-
 bool stopping_rule_satisfied(const CellStats& stats, const StoppingRule& rule,
                              double ci_level) {
   switch (rule.metric) {
@@ -352,11 +325,7 @@ void absorb_outcome(CellStats& stats, const TrialOutcome& o) {
     ++stats.censored;
   }
   stats.lifetime.add(static_cast<double>(o.lifetime_steps));
-  stats.attacker.direct_probes += o.attacker.direct_probes;
-  stats.attacker.indirect_probes += o.attacker.indirect_probes;
-  stats.attacker.crashes_caused += o.attacker.crashes_caused;
-  stats.attacker.compromises += o.attacker.compromises;
-  stats.attacker.keys_learned += o.attacker.keys_learned;
+  stats.attacker.merge(o.attacker);
   stats.events_executed += o.events_executed;
   stats.blacklisted_sources += o.blacklisted_sources;
   stats.traffic.merge(o.traffic);
@@ -376,10 +345,9 @@ CampaignResult run_campaign_subset(
       adaptive ? config.adaptive.max_trials_per_cell : config.trials_per_cell;
   FORTRESS_EXPECTS(round_trials >= 1);
   FORTRESS_EXPECTS(max_trials >= 1);
-  std::vector<StoppingRule> rules;
   if (adaptive) {
-    rules = config.adaptive.effective_rules();
-    for (const StoppingRule& rule : rules) validate_rule(rule);
+    FORTRESS_EXPECTS(!config.adaptive.rules.empty());
+    for (const StoppingRule& rule : config.adaptive.rules) validate_rule(rule);
   }
   const bool stealing = adaptive && config.adaptive.work_stealing;
   for (const CampaignCell& cell : cells) cell.plan.validate();
@@ -536,7 +504,7 @@ CampaignResult run_campaign_subset(
       }
       if (adaptive) {
         bool satisfied = true;
-        for (const StoppingRule& rule : rules) {
+        for (const StoppingRule& rule : config.adaptive.rules) {
           satisfied =
               satisfied && stopping_rule_satisfied(st.stats, rule,
                                                    config.ci_level);

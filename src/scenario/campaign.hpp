@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "attack/derand_attacker.hpp"
+#include "common/fields.hpp"
 #include "common/stats.hpp"
 #include "core/population.hpp"
 #include "model/params.hpp"
@@ -46,9 +47,10 @@ namespace fortress::scenario {
 /// Traffic-plane aggregates of one trial (all zero when the plan has no
 /// TrafficSpec): client-side request accounting, per-deployment sums of the
 /// machines' OverloadStats, and the completed-request latency histogram.
-/// merge() is the exact cell reduction — every field is a sum, a max, or an
-/// elementwise histogram add, so cell aggregates are bit-identical for any
-/// trial-batching (the campaign's thread-count invariance extends to these).
+/// merge() is the exact cell reduction over fields() — every field is a sum,
+/// a max, or an elementwise histogram add, so cell aggregates are
+/// bit-identical for any trial-batching (the campaign's thread-count
+/// invariance extends to these).
 struct TrafficStats {
   // --- client side ---------------------------------------------------------
   std::uint64_t offered = 0;    ///< requests submitted (excluding retries)
@@ -71,7 +73,28 @@ struct TrafficStats {
   /// Submit-to-completion latency of every completed request.
   LatencyHistogram latency;
 
-  void merge(const TrafficStats& o);
+  /// The field list (common/fields.hpp).
+  static constexpr auto fields() {
+    using S = TrafficStats;
+    using fields::field;
+    return std::tuple{
+        field("offered", &S::offered),
+        field("completed", &S::completed),
+        field("timed_out", &S::timed_out),
+        field("gave_up", &S::gave_up),
+        field("retries", &S::retries),
+        field("rejected_responses", &S::rejected_responses),
+        field("enqueued", &S::enqueued),
+        field("served", &S::served),
+        field("shed", &S::shed),
+        field("backpressured", &S::backpressured),
+        field("degraded", &S::degraded),
+        field("dropped_on_reboot", &S::dropped_on_reboot),
+        field("max_queue_depth", &S::max_queue_depth, fields::Reduce::Max),
+        field("goodput_bits", &S::goodput),
+        field("latency_bins", &S::latency)};
+  }
+  void merge(const TrafficStats& o) { fields::merge(*this, o); }
 };
 
 /// Outcome of one live trial.
@@ -167,20 +190,16 @@ struct AdaptiveConfig {
   /// Per-cell trials per round (with work_stealing, the per-cell SHARE of
   /// the round's capacity while every cell is open).
   std::uint64_t round_trials = 16;
-  /// The default mean-lifetime rule's relative target (used when `rules`
-  /// is empty): close once half_width(CI) <= max(target_rel_ci * mean,
-  /// abs_ci_floor).
-  double target_rel_ci = 0.10;
-  /// The default rule's absolute half-width floor, in steps. Lifetimes are
-  /// measured in whole steps, so resolving the mean below half a step is
-  /// meaningless — and demanding it is exactly the zero-mean stall bug
-  /// (instant-compromise cells could never satisfy a relative-only target).
-  double abs_ci_floor = 0.5;
   /// Hard per-cell cap: a cell that never reaches its targets closes here.
   std::uint64_t max_trials_per_cell = 1024;
-  /// Multi-metric stopping: when non-empty these REPLACE the default
-  /// mean-lifetime rule, and a cell stays open until every rule holds.
-  std::vector<StoppingRule> rules;
+  /// The stopping rules; a cell stays open until every rule holds. Must be
+  /// non-empty in adaptive mode. The default resolves the mean lifetime to
+  /// 10% — or to half a step: lifetimes are measured in whole steps, so
+  /// resolving the mean below that is meaningless, and demanding it is
+  /// exactly the zero-mean stall (instant-compromise cells could never
+  /// satisfy a relative-only target).
+  std::vector<StoppingRule> rules = {
+      {StoppingRule::Metric::MeanLifetime, 0.99, 0.10, 0.5}};
   /// Work-stealing rounds: every round re-issues the FULL grid capacity
   /// (round_trials x number of cells) across the still-open cells, split
   /// evenly in cell order (capped by each cell's remaining budget, spill
@@ -192,10 +211,6 @@ struct AdaptiveConfig {
   /// within each shard, so shard-vs-single-process bit-identity holds only
   /// with stealing off (see scenario/shard.hpp).
   bool work_stealing = false;
-
-  /// The rule set in force: `rules`, or the single default mean-lifetime
-  /// rule synthesized from target_rel_ci / abs_ci_floor.
-  std::vector<StoppingRule> effective_rules() const;
 };
 
 struct CampaignConfig {
@@ -243,6 +258,26 @@ struct CellStats {
   std::uint64_t blacklisted_sources = 0;  ///< summed over the cell's trials
   TrafficStats traffic;                   ///< merged over the cell's trials
   core::PopulationStats population;       ///< merged over the cell's trials
+
+  /// The field list (common/fields.hpp) of everything but the cell's
+  /// identity (system, plan_name): the campaign fingerprint and the
+  /// sidecar/report cell body, in this order. There is no CellStats merge —
+  /// a cell is reduced trial by trial (run_campaign's absorb step).
+  static constexpr auto fields() {
+    using S = CellStats;
+    using fields::field;
+    return std::tuple{field("trials", &S::trials),
+                      field("rounds", &S::rounds),
+                      field("compromised", &S::compromised),
+                      field("censored", &S::censored),
+                      field("lifetime", &S::lifetime),
+                      field("lifetime_ci", &S::lifetime_ci),
+                      field("attacker", &S::attacker),
+                      field("events_executed", &S::events_executed),
+                      field("blacklisted_sources", &S::blacklisted_sources),
+                      field("traffic", &S::traffic),
+                      field("population", &S::population)};
+  }
 
   double mean_lifetime() const {
     return lifetime.count() > 0 ? lifetime.mean() : 0.0;

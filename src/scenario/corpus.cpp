@@ -1,8 +1,6 @@
 #include "scenario/corpus.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <cstring>
+#include <bit>
 
 #include "common/json.hpp"
 #include "scenario/campaign.hpp"
@@ -12,6 +10,9 @@ namespace fortress::scenario {
 
 namespace {
 
+using json::hex64;
+using json::ObjectReader;
+using json::parse_hex64;
 using json::ParseError;
 using json::reemit;
 using json::Value;
@@ -19,25 +20,26 @@ using json::Writer;
 
 constexpr const char* kSchemaTag = "fortress-scenario-v1";
 
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t parse_hex64(const std::string& s, const std::string& ctx) {
-  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') {
-    throw ParseError(ctx + ": expected \"0x\" + 16 hex digits, got \"" + s +
-                     "\"");
-  }
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(ctx + ": invalid hex literal \"" + s + "\"");
-  }
-  return v;
-}
+/// The golden row's pinned counters, in file order. Digests and bit
+/// patterns (`hex`) are written as hex64 strings, counts as numbers.
+struct GoldenPin {
+  const char* name;
+  std::uint64_t CorpusGoldenCell::*member;
+  bool hex;
+};
+constexpr GoldenPin kGoldenPins[] = {
+    {"trials", &CorpusGoldenCell::trials, false},
+    {"compromised", &CorpusGoldenCell::compromised, false},
+    {"censored", &CorpusGoldenCell::censored, false},
+    {"lifetime_mean_bits", &CorpusGoldenCell::lifetime_mean_bits, true},
+    {"direct_probes", &CorpusGoldenCell::direct_probes, false},
+    {"indirect_probes", &CorpusGoldenCell::indirect_probes, false},
+    {"events_executed", &CorpusGoldenCell::events_executed, false},
+    {"blacklisted_sources", &CorpusGoldenCell::blacklisted_sources, false},
+    {"traffic_fingerprint", &CorpusGoldenCell::traffic_fingerprint, true},
+    {"population_fingerprint", &CorpusGoldenCell::population_fingerprint,
+     true},
+};
 
 }  // namespace
 
@@ -50,47 +52,34 @@ model::SystemKind system_kind_from_string(const std::string& s,
 }
 
 CorpusEntry corpus_entry_from_json(std::string_view text) {
-  const Value root = json::parse(text);
-  const std::string ctx = "corpus entry";
-  const auto& members = root.members(ctx);
-
-  // Strict key set, canonical order NOT required on load (re-encode
+  // Strict key set; canonical order is NOT required on load (re-encode
   // byte-identity is checked separately by check_corpus_entry).
-  static constexpr const char* kKeys[] = {
-      "schema", "name",   "description", "base_seed", "trials_per_cell",
-      "systems", "digest", "plan",       "golden"};
-  for (const auto& [k, v] : members) {
-    bool known = false;
-    for (const char* key : kKeys) known = known || (k == key);
-    if (!known) throw ParseError(ctx + ": unknown key \"" + k + "\"");
-  }
-
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
+  const Value root = json::parse(text);
+  ObjectReader r(root, "corpus entry");
+  const std::string& schema = r.str("schema");
   if (schema != kSchemaTag) {
-    throw ParseError(ctx + ".schema: expected \"" + kSchemaTag + "\", got \"" +
-                     schema + "\"");
+    throw ParseError(r.member_ctx("schema") + ": expected \"" + kSchemaTag +
+                     "\", got \"" + schema + "\"");
   }
 
   CorpusEntry e;
-  e.name = root.required("name", ctx).as_string(ctx + ".name");
-  e.description =
-      root.required("description", ctx).as_string(ctx + ".description");
-  e.base_seed = root.required("base_seed", ctx).as_u64(ctx + ".base_seed");
-  e.trials_per_cell =
-      root.required("trials_per_cell", ctx).as_u64(ctx + ".trials_per_cell");
+  e.name = r.str("name");
+  e.description = r.str("description");
+  e.base_seed = r.u64("base_seed");
+  e.trials_per_cell = r.u64("trials_per_cell");
   if (e.trials_per_cell < 1) {
-    throw ParseError(ctx + ".trials_per_cell: must be >= 1");
+    throw ParseError(r.member_ctx("trials_per_cell") + ": must be >= 1");
   }
-  for (const Value& s :
-       root.required("systems", ctx).as_array(ctx + ".systems")) {
+  for (const Value& s : r.array("systems")) {
     e.systems.push_back(system_kind_from_string(
-        s.as_string(ctx + ".systems element"), ctx + ".systems"));
+        s.as_string(r.member_ctx("systems") + " element"),
+        r.member_ctx("systems")));
   }
   if (e.systems.empty()) {
-    throw ParseError(ctx + ".systems: must list at least one system class");
+    throw ParseError(r.member_ctx("systems") +
+                     ": must list at least one system class");
   }
-  e.digest = root.required("digest", ctx).as_string(ctx + ".digest");
+  e.digest = r.str("digest");
 
   {
     // Re-encode just the plan subtree and strict-decode it through the plan
@@ -99,57 +88,34 @@ CorpusEntry corpus_entry_from_json(std::string_view text) {
     // (json::reemit keeps number lexemes verbatim, so u64 fields never pass
     // through a double on the wrapper->plan hop).
     Writer w(/*compact=*/true);
-    reemit(w, root.required("plan", ctx));
+    reemit(w, r.required("plan"));
     e.plan = plan_from_json(w.str());
   }
 
   if (e.plan.name != e.name) {
-    throw ParseError(ctx + ": name \"" + e.name +
+    throw ParseError("corpus entry: name \"" + e.name +
                      "\" does not match plan.name \"" + e.plan.name + "\"");
   }
 
-  {
-    const std::string gctx = ctx + ".golden";
-    const auto& rows = root.required("golden", ctx).as_array(gctx);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const std::string rctx = gctx + "[" + std::to_string(i) + "]";
-      const Value& row = rows[i];
-      CorpusGoldenCell g;
-      g.system = system_kind_from_string(
-          row.required("system", rctx).as_string(rctx + ".system"), rctx);
-      g.trials = row.required("trials", rctx).as_u64(rctx + ".trials");
-      g.compromised =
-          row.required("compromised", rctx).as_u64(rctx + ".compromised");
-      g.censored = row.required("censored", rctx).as_u64(rctx + ".censored");
-      g.lifetime_mean_bits = parse_hex64(
-          row.required("lifetime_mean_bits", rctx)
-              .as_string(rctx + ".lifetime_mean_bits"),
-          rctx + ".lifetime_mean_bits");
-      g.direct_probes =
-          row.required("direct_probes", rctx).as_u64(rctx + ".direct_probes");
-      g.indirect_probes = row.required("indirect_probes", rctx)
-                              .as_u64(rctx + ".indirect_probes");
-      g.events_executed = row.required("events_executed", rctx)
-                              .as_u64(rctx + ".events_executed");
-      g.blacklisted_sources = row.required("blacklisted_sources", rctx)
-                                  .as_u64(rctx + ".blacklisted_sources");
-      g.traffic_fingerprint = parse_hex64(
-          row.required("traffic_fingerprint", rctx)
-              .as_string(rctx + ".traffic_fingerprint"),
-          rctx + ".traffic_fingerprint");
-      g.population_fingerprint = parse_hex64(
-          row.required("population_fingerprint", rctx)
-              .as_string(rctx + ".population_fingerprint"),
-          rctx + ".population_fingerprint");
-      if (row.members(rctx).size() != 11) {
-        throw ParseError(rctx + ": unexpected extra keys");
-      }
-      e.golden.push_back(g);
+  const auto& rows = r.array("golden");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ObjectReader row(rows[i],
+                     r.member_ctx("golden") + "[" + std::to_string(i) + "]");
+    CorpusGoldenCell g;
+    g.system =
+        system_kind_from_string(row.str("system"), row.member_ctx("system"));
+    for (const GoldenPin& pin : kGoldenPins) {
+      g.*pin.member = pin.hex ? parse_hex64(row.str(pin.name),
+                                            row.member_ctx(pin.name))
+                              : row.u64(pin.name);
     }
+    row.done();
+    e.golden.push_back(g);
   }
+  r.done();
 
   if (!e.golden.empty() && e.golden.size() != e.systems.size()) {
-    throw ParseError(ctx + ": golden has " + std::to_string(e.golden.size()) +
+    throw ParseError("corpus entry: golden has " + std::to_string(e.golden.size()) +
                      " rows but systems lists " +
                      std::to_string(e.systems.size()) + " classes");
   }
@@ -197,26 +163,14 @@ std::string corpus_entry_to_json(const CorpusEntry& entry) {
       w.begin_object();
       w.key("system");
       w.value(std::string_view(model::to_string(g.system)));
-      w.key("trials");
-      w.value(g.trials);
-      w.key("compromised");
-      w.value(g.compromised);
-      w.key("censored");
-      w.value(g.censored);
-      w.key("lifetime_mean_bits");
-      w.value(std::string_view(hex64(g.lifetime_mean_bits)));
-      w.key("direct_probes");
-      w.value(g.direct_probes);
-      w.key("indirect_probes");
-      w.value(g.indirect_probes);
-      w.key("events_executed");
-      w.value(g.events_executed);
-      w.key("blacklisted_sources");
-      w.value(g.blacklisted_sources);
-      w.key("traffic_fingerprint");
-      w.value(std::string_view(hex64(g.traffic_fingerprint)));
-      w.key("population_fingerprint");
-      w.value(std::string_view(hex64(g.population_fingerprint)));
+      for (const GoldenPin& pin : kGoldenPins) {
+        w.key(pin.name);
+        if (pin.hex) {
+          w.value(std::string_view(hex64(g.*pin.member)));
+        } else {
+          w.value(g.*pin.member);
+        }
+      }
       w.end_object();
     }
     w.end_array();
@@ -246,8 +200,7 @@ std::vector<CorpusGoldenCell> capture_corpus_golden(const CorpusEntry& entry) {
     g.trials = c.trials;
     g.compromised = c.compromised;
     g.censored = c.censored;
-    double mean = c.mean_lifetime();
-    std::memcpy(&g.lifetime_mean_bits, &mean, sizeof mean);
+    g.lifetime_mean_bits = std::bit_cast<std::uint64_t>(c.mean_lifetime());
     g.direct_probes = c.attacker.direct_probes;
     g.indirect_probes = c.attacker.indirect_probes;
     g.events_executed = c.events_executed;
@@ -288,31 +241,18 @@ std::vector<std::string> check_corpus_entry(const CorpusEntry& entry,
     const std::string cell =
         "golden[" + std::to_string(i) + "] (" + model::to_string(got.system) +
         ")";
-    auto pin = [&](const char* field, std::uint64_t w, std::uint64_t g) {
-      if (w != g) {
-        problems.push_back(cell + "." + field + ": pinned " +
-                           std::to_string(w) + ", re-run produced " +
-                           std::to_string(g));
-      }
-    };
     if (want.system != got.system) {
       problems.push_back(cell + ": system order mismatch");
       continue;
     }
-    pin("trials", want.trials, got.trials);
-    pin("compromised", want.compromised, got.compromised);
-    pin("censored", want.censored, got.censored);
-    pin("lifetime_mean_bits", want.lifetime_mean_bits,
-        got.lifetime_mean_bits);
-    pin("direct_probes", want.direct_probes, got.direct_probes);
-    pin("indirect_probes", want.indirect_probes, got.indirect_probes);
-    pin("events_executed", want.events_executed, got.events_executed);
-    pin("blacklisted_sources", want.blacklisted_sources,
-        got.blacklisted_sources);
-    pin("traffic_fingerprint", want.traffic_fingerprint,
-        got.traffic_fingerprint);
-    pin("population_fingerprint", want.population_fingerprint,
-        got.population_fingerprint);
+    for (const GoldenPin& pin : kGoldenPins) {
+      if (want.*pin.member != got.*pin.member) {
+        problems.push_back(cell + "." + pin.name + ": pinned " +
+                           std::to_string(want.*pin.member) +
+                           ", re-run produced " +
+                           std::to_string(got.*pin.member));
+      }
+    }
   }
   return problems;
 }

@@ -1,7 +1,9 @@
 #include "scenario/differential.hpp"
 
-#include <cstdio>
-#include <cstring>
+#include <bit>
+#include <type_traits>
+
+#include "common/json.hpp"
 
 namespace fortress::scenario {
 
@@ -16,22 +18,35 @@ class Fnv {
       h_ *= 1099511628211ull;
     }
   }
-  void add(double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof u);
-    add(u);
-  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
   std::uint64_t digest() const { return h_; }
 
  private:
   std::uint64_t h_ = 14695981039346656037ull;
 };
 
-std::string hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+/// One fingerprint step per member type; aggregates recurse over their
+/// field lists (common/fields.hpp). The lifetime moments are hashed only
+/// where their count preconditions hold.
+template <class T>
+void hash_value(Fnv& f, const T& v) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    f.add(v);
+  } else if constexpr (std::is_same_v<T, LatencyHistogram>) {
+    f.add(v.fingerprint());
+  } else if constexpr (std::is_same_v<T, RunningStats>) {
+    f.add(v.count());
+    if (v.count() > 0) {
+      f.add(v.mean());
+      f.add(v.min());
+      f.add(v.max());
+    }
+    if (v.count() > 1) f.add(v.variance());
+  } else if constexpr (std::is_same_v<T, ConfidenceInterval>) {
+    // Not hashed: derived from the lifetime accumulator and ci_level.
+  } else {
+    fields::for_each<T>([&](const auto& fd) { hash_value(f, v.*fd.member); });
+  }
 }
 
 }  // namespace
@@ -41,51 +56,7 @@ std::uint64_t campaign_fingerprint(const CampaignResult& result) {
   f.add(static_cast<std::uint64_t>(result.cells.size()));
   f.add(result.total_trials);
   f.add(result.total_events);
-  for (const CellStats& c : result.cells) {
-    f.add(c.trials);
-    f.add(c.rounds);
-    f.add(c.compromised);
-    f.add(c.censored);
-    f.add(c.lifetime.count());
-    if (c.lifetime.count() > 0) {
-      f.add(c.lifetime.mean());
-      f.add(c.lifetime.min());
-      f.add(c.lifetime.max());
-    }
-    if (c.lifetime.count() > 1) f.add(c.lifetime.variance());
-    f.add(c.attacker.direct_probes);
-    f.add(c.attacker.indirect_probes);
-    f.add(c.attacker.crashes_caused);
-    f.add(c.attacker.compromises);
-    f.add(c.attacker.keys_learned);
-    f.add(c.events_executed);
-    f.add(c.blacklisted_sources);
-    const TrafficStats& t = c.traffic;
-    f.add(t.offered);
-    f.add(t.completed);
-    f.add(t.timed_out);
-    f.add(t.gave_up);
-    f.add(t.retries);
-    f.add(t.rejected_responses);
-    f.add(t.enqueued);
-    f.add(t.served);
-    f.add(t.shed);
-    f.add(t.backpressured);
-    f.add(t.degraded);
-    f.add(t.dropped_on_reboot);
-    f.add(t.max_queue_depth);
-    f.add(t.goodput);
-    f.add(t.latency.fingerprint());
-    const core::PopulationStats& p = c.population;
-    f.add(p.offered);
-    f.add(p.completed);
-    f.add(p.timed_out);
-    f.add(p.gave_up);
-    f.add(p.retries);
-    f.add(p.rejected_responses);
-    f.add(p.skipped_busy);
-    f.add(p.latency.fingerprint());
-  }
+  for (const CellStats& c : result.cells) hash_value(f, c);
   return f.digest();
 }
 
@@ -126,8 +97,8 @@ std::vector<std::string> differential_check(
         campaign_fingerprint(run_campaign(cells, arm.cfg));
     if (got != want) {
       divergences.push_back("plan '" + plan.name + "': " + arm.label +
-                            " diverged — fingerprint " + hex(got) +
-                            " != reference " + hex(want));
+                            " diverged — fingerprint " + json::hex64(got) +
+                            " != reference " + json::hex64(want));
     }
   }
   return divergences;

@@ -21,13 +21,13 @@
 
 namespace fortress::scenario {
 
-/// FNV-1a 64 over every aggregate of a campaign result: per cell, the
-/// trial/compromise/censor counts, the lifetime moment bits (mean,
-/// variance, min, max — included only where their count preconditions
-/// hold), all attacker counters, event and blacklist totals, every
-/// TrafficStats and PopulationStats field, and both latency-histogram
-/// fingerprints. Two results fingerprint equal iff the aggregates the
-/// campaign determinism contract covers are bit-identical.
+/// FNV-1a 64 over every aggregate of a campaign result: the cell count and
+/// totals, then per cell every field of CellStats::fields() in list order
+/// (nested aggregates recursively; the lifetime moment bits only where
+/// their count preconditions hold; histograms by their fingerprint;
+/// lifetime_ci not at all, as it derives from the lifetime and ci_level).
+/// Two results fingerprint equal iff the aggregates the campaign
+/// determinism contract covers are bit-identical.
 std::uint64_t campaign_fingerprint(const CampaignResult& result);
 
 struct DifferentialOptions {

@@ -10,6 +10,7 @@ namespace fortress::scenario {
 
 namespace {
 
+using json::ObjectReader;
 using json::ParseError;
 using json::Value;
 using json::Writer;
@@ -259,66 +260,6 @@ void write_plan(Writer& w, const net::ScenarioPlan& p) {
 }
 
 // --- decode ------------------------------------------------------------------
-
-/// Strict object reader: every member must be consumed exactly once, and
-/// done() rejects members the codec never asked for — that is what turns an
-/// unknown or misspelled key into a load-time error instead of a silently
-/// default-valued field.
-class ObjectReader {
- public:
-  ObjectReader(const Value& v, std::string ctx)
-      : ctx_(std::move(ctx)), members_(v.members(ctx_)),
-        used_(members_.size(), false) {}
-
-  const Value& required(const char* key) {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      if (members_[i].first == key) {
-        used_[i] = true;
-        return members_[i].second;
-      }
-    }
-    codec_fail(ctx_ + ": missing required key \"" + key + "\"");
-  }
-
-  std::string member_ctx(const char* key) const { return ctx_ + "." + key; }
-
-  double dbl(const char* key) { return required(key).as_double(member_ctx(key)); }
-  bool boolean(const char* key) { return required(key).as_bool(member_ctx(key)); }
-  std::uint64_t u64(const char* key) { return required(key).as_u64(member_ctx(key)); }
-  std::uint32_t u32(const char* key) {
-    std::uint64_t v = u64(key);
-    if (v > 0xFFFFFFFFull) {
-      codec_fail(member_ctx(key) + ": value " + std::to_string(v) +
-                 " does not fit in 32 bits");
-    }
-    return static_cast<std::uint32_t>(v);
-  }
-  int int32(const char* key) {
-    std::int64_t v = required(key).as_i64(member_ctx(key));
-    if (v < INT32_MIN || v > INT32_MAX) {
-      codec_fail(member_ctx(key) + ": value " + std::to_string(v) +
-                 " does not fit in 32 bits");
-    }
-    return static_cast<int>(v);
-  }
-  const std::string& str(const char* key) {
-    return required(key).as_string(member_ctx(key));
-  }
-
-  /// Call after reading every expected key.
-  void done() {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      if (!used_[i]) {
-        codec_fail(ctx_ + ": unknown key \"" + members_[i].first + "\"");
-      }
-    }
-  }
-
- private:
-  std::string ctx_;
-  const std::vector<std::pair<std::string, Value>>& members_;
-  std::vector<bool> used_;
-};
 
 net::LatencySpec read_latency(const Value& v, const std::string& ctx) {
   ObjectReader r(v, ctx);

@@ -1,8 +1,7 @@
 #include "scenario/shard.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <cstring>
+#include <bit>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/json.hpp"
@@ -13,6 +12,9 @@ namespace fortress::scenario {
 
 namespace {
 
+using json::hex64;
+using json::ObjectReader;
+using json::parse_hex64;
 using json::ParseError;
 using json::reemit;
 using json::Value;
@@ -21,43 +23,6 @@ using json::Writer;
 constexpr const char* kSpecSchema = "fortress-campaign-v1";
 constexpr const char* kShardSchema = "fortress-campaign-shard-v1";
 constexpr const char* kResultSchema = "fortress-campaign-result-v1";
-
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t parse_hex64(const std::string& s, const std::string& ctx) {
-  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') {
-    throw ParseError(ctx + ": expected \"0x\" + 16 hex digits, got \"" + s +
-                     "\"");
-  }
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(ctx + ": invalid hex literal \"" + s + "\"");
-  }
-  return v;
-}
-
-// Doubles cross the sidecar as bit patterns, never as decimal text: the
-// merge's bit-identity contract has no room for a parse round-trip to be
-// "close". (Shortest round-trip formatting would in fact round-trip too,
-// but bits make the intent unmissable and survive any future formatter.)
-std::string double_bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof d);
-  return hex64(u);
-}
-
-double bits_double(const std::string& s, const std::string& ctx) {
-  const std::uint64_t u = parse_hex64(s, ctx);
-  double d = 0.0;
-  std::memcpy(&d, &u, sizeof d);
-  return d;
-}
 
 sim::SchedulerKind scheduler_from_string(const std::string& s,
                                          const std::string& ctx) {
@@ -91,16 +56,12 @@ StoppingRule::Metric metric_from_string(const std::string& s,
       "\" (want mean_lifetime|compromise_probability|latency_quantile)");
 }
 
-void check_keys(const Value& obj, const std::string& ctx,
-                std::initializer_list<const char*> keys) {
-  for (const auto& [k, v] : obj.members(ctx)) {
-    bool known = false;
-    for (const char* key : keys) known = known || (k == key);
-    if (!known) throw ParseError(ctx + ": unknown key \"" + k + "\"");
-  }
-}
-
 // --- CellStats codec (shared by the sidecar and the result report) --------
+//
+// One value writer and one value reader, dispatching on the member's type;
+// aggregates recurse over their field lists (common/fields.hpp), so the
+// cell body has no per-field code. RunningStats and ConfidenceInterval keep
+// explicit encodings: they cross as raw accumulator state by bit pattern.
 
 void write_histogram(Writer& w, const LatencyHistogram& h) {
   w.begin_array();
@@ -124,6 +85,80 @@ LatencyHistogram read_histogram(const Value& v, const std::string& ctx) {
   return h;
 }
 
+// Doubles cross the sidecar as bit patterns, never as decimal text: the
+// merge's bit-identity contract has no room for a parse round-trip to be
+// "close". (Shortest round-trip formatting would in fact round-trip too,
+// but bits make the intent unmissable and survive any future formatter.)
+void write_bits(Writer& w, const char* key, double d) {
+  w.key(key);
+  w.value(std::string_view(hex64(std::bit_cast<std::uint64_t>(d))));
+}
+
+double read_bits(ObjectReader& r, const char* key) {
+  return std::bit_cast<double>(parse_hex64(r.str(key), r.member_ctx(key)));
+}
+
+template <class T>
+void write_value(Writer& w, const char* key, const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    write_bits(w, key, v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.key(key);
+    w.value(v);
+  } else if constexpr (std::is_same_v<T, LatencyHistogram>) {
+    w.key(key);
+    write_histogram(w, v);
+  } else {
+    w.key(key);
+    w.begin_object();
+    if constexpr (std::is_same_v<T, RunningStats>) {
+      w.key("count");
+      w.value(v.count());
+      write_bits(w, "mean_bits", v.raw_mean());
+      write_bits(w, "m2_bits", v.raw_m2());
+      write_bits(w, "min_bits", v.raw_min());
+      write_bits(w, "max_bits", v.raw_max());
+    } else if constexpr (std::is_same_v<T, ConfidenceInterval>) {
+      write_bits(w, "lo_bits", v.lo);
+      write_bits(w, "hi_bits", v.hi);
+      write_bits(w, "level_bits", v.level);
+    } else {
+      fields::for_each<T>(
+          [&](const auto& f) { write_value(w, f.name, v.*f.member); });
+    }
+    w.end_object();
+  }
+}
+
+template <class T>
+void read_value(ObjectReader& r, const char* key, T& v) {
+  if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v = r.u64(key);
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = read_bits(r, key);
+  } else if constexpr (std::is_same_v<T, LatencyHistogram>) {
+    v = read_histogram(r.required(key), r.member_ctx(key));
+  } else {
+    ObjectReader o(r.required(key), r.member_ctx(key));
+    if constexpr (std::is_same_v<T, RunningStats>) {
+      const std::uint64_t count = o.u64("count");
+      const double mean = read_bits(o, "mean_bits");
+      const double m2 = read_bits(o, "m2_bits");
+      const double min = read_bits(o, "min_bits");
+      const double max = read_bits(o, "max_bits");
+      v = RunningStats::from_raw(count, mean, m2, min, max);
+    } else if constexpr (std::is_same_v<T, ConfidenceInterval>) {
+      v.lo = read_bits(o, "lo_bits");
+      v.hi = read_bits(o, "hi_bits");
+      v.level = read_bits(o, "level_bits");
+    } else {
+      fields::for_each<T>(
+          [&](const auto& f) { read_value(o, f.name, v.*f.member); });
+    }
+    o.done();
+  }
+}
+
 void write_cell(Writer& w, std::uint64_t index, const CellStats& c) {
   w.begin_object();
   w.key("index");
@@ -132,234 +167,21 @@ void write_cell(Writer& w, std::uint64_t index, const CellStats& c) {
   w.value(std::string_view(model::to_string(c.system)));
   w.key("plan_name");
   w.value(std::string_view(c.plan_name));
-  w.key("trials");
-  w.value(c.trials);
-  w.key("rounds");
-  w.value(c.rounds);
-  w.key("compromised");
-  w.value(c.compromised);
-  w.key("censored");
-  w.value(c.censored);
-  w.key("lifetime");
-  w.begin_object();
-  w.key("count");
-  w.value(c.lifetime.count());
-  w.key("mean_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_mean())));
-  w.key("m2_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_m2())));
-  w.key("min_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_min())));
-  w.key("max_bits");
-  w.value(std::string_view(double_bits(c.lifetime.raw_max())));
-  w.end_object();
-  w.key("lifetime_ci");
-  w.begin_object();
-  w.key("lo_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.lo)));
-  w.key("hi_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.hi)));
-  w.key("level_bits");
-  w.value(std::string_view(double_bits(c.lifetime_ci.level)));
-  w.end_object();
-  w.key("attacker");
-  w.begin_object();
-  w.key("direct_probes");
-  w.value(c.attacker.direct_probes);
-  w.key("indirect_probes");
-  w.value(c.attacker.indirect_probes);
-  w.key("crashes_caused");
-  w.value(c.attacker.crashes_caused);
-  w.key("compromises");
-  w.value(c.attacker.compromises);
-  w.key("keys_learned");
-  w.value(c.attacker.keys_learned);
-  w.end_object();
-  w.key("events_executed");
-  w.value(c.events_executed);
-  w.key("blacklisted_sources");
-  w.value(c.blacklisted_sources);
-  w.key("traffic");
-  w.begin_object();
-  w.key("offered");
-  w.value(c.traffic.offered);
-  w.key("completed");
-  w.value(c.traffic.completed);
-  w.key("timed_out");
-  w.value(c.traffic.timed_out);
-  w.key("gave_up");
-  w.value(c.traffic.gave_up);
-  w.key("retries");
-  w.value(c.traffic.retries);
-  w.key("rejected_responses");
-  w.value(c.traffic.rejected_responses);
-  w.key("enqueued");
-  w.value(c.traffic.enqueued);
-  w.key("served");
-  w.value(c.traffic.served);
-  w.key("shed");
-  w.value(c.traffic.shed);
-  w.key("backpressured");
-  w.value(c.traffic.backpressured);
-  w.key("degraded");
-  w.value(c.traffic.degraded);
-  w.key("dropped_on_reboot");
-  w.value(c.traffic.dropped_on_reboot);
-  w.key("max_queue_depth");
-  w.value(c.traffic.max_queue_depth);
-  w.key("goodput_bits");
-  w.value(std::string_view(double_bits(c.traffic.goodput)));
-  w.key("latency_bins");
-  write_histogram(w, c.traffic.latency);
-  w.end_object();
-  w.key("population");
-  w.begin_object();
-  w.key("offered");
-  w.value(c.population.offered);
-  w.key("completed");
-  w.value(c.population.completed);
-  w.key("timed_out");
-  w.value(c.population.timed_out);
-  w.key("gave_up");
-  w.value(c.population.gave_up);
-  w.key("retries");
-  w.value(c.population.retries);
-  w.key("rejected_responses");
-  w.value(c.population.rejected_responses);
-  w.key("skipped_busy");
-  w.value(c.population.skipped_busy);
-  w.key("latency_bins");
-  write_histogram(w, c.population.latency);
-  w.end_object();
+  fields::for_each<CellStats>(
+      [&](const auto& f) { write_value(w, f.name, c.*f.member); });
   w.end_object();
 }
 
 std::pair<std::uint64_t, CellStats> read_cell(const Value& row,
                                               const std::string& ctx) {
-  check_keys(row, ctx,
-             {"index", "system", "plan_name", "trials", "rounds",
-              "compromised", "censored", "lifetime", "lifetime_ci",
-              "attacker", "events_executed", "blacklisted_sources", "traffic",
-              "population"});
+  ObjectReader r(row, ctx);
   CellStats c;
-  const std::uint64_t index =
-      row.required("index", ctx).as_u64(ctx + ".index");
-  c.system = system_kind_from_string(
-      row.required("system", ctx).as_string(ctx + ".system"), ctx);
-  c.plan_name =
-      row.required("plan_name", ctx).as_string(ctx + ".plan_name");
-  c.trials = row.required("trials", ctx).as_u64(ctx + ".trials");
-  c.rounds = row.required("rounds", ctx).as_u64(ctx + ".rounds");
-  c.compromised =
-      row.required("compromised", ctx).as_u64(ctx + ".compromised");
-  c.censored = row.required("censored", ctx).as_u64(ctx + ".censored");
-  {
-    const std::string lctx = ctx + ".lifetime";
-    const Value& l = row.required("lifetime", ctx);
-    check_keys(l, lctx,
-               {"count", "mean_bits", "m2_bits", "min_bits", "max_bits"});
-    c.lifetime = RunningStats::from_raw(
-        l.required("count", lctx).as_u64(lctx + ".count"),
-        bits_double(l.required("mean_bits", lctx).as_string(lctx),
-                    lctx + ".mean_bits"),
-        bits_double(l.required("m2_bits", lctx).as_string(lctx),
-                    lctx + ".m2_bits"),
-        bits_double(l.required("min_bits", lctx).as_string(lctx),
-                    lctx + ".min_bits"),
-        bits_double(l.required("max_bits", lctx).as_string(lctx),
-                    lctx + ".max_bits"));
-  }
-  {
-    const std::string ictx = ctx + ".lifetime_ci";
-    const Value& i = row.required("lifetime_ci", ctx);
-    check_keys(i, ictx, {"lo_bits", "hi_bits", "level_bits"});
-    c.lifetime_ci.lo = bits_double(
-        i.required("lo_bits", ictx).as_string(ictx), ictx + ".lo_bits");
-    c.lifetime_ci.hi = bits_double(
-        i.required("hi_bits", ictx).as_string(ictx), ictx + ".hi_bits");
-    c.lifetime_ci.level = bits_double(
-        i.required("level_bits", ictx).as_string(ictx), ictx + ".level_bits");
-  }
-  {
-    const std::string actx = ctx + ".attacker";
-    const Value& a = row.required("attacker", ctx);
-    check_keys(a, actx,
-               {"direct_probes", "indirect_probes", "crashes_caused",
-                "compromises", "keys_learned"});
-    c.attacker.direct_probes =
-        a.required("direct_probes", actx).as_u64(actx + ".direct_probes");
-    c.attacker.indirect_probes =
-        a.required("indirect_probes", actx).as_u64(actx + ".indirect_probes");
-    c.attacker.crashes_caused =
-        a.required("crashes_caused", actx).as_u64(actx + ".crashes_caused");
-    c.attacker.compromises =
-        a.required("compromises", actx).as_u64(actx + ".compromises");
-    c.attacker.keys_learned =
-        a.required("keys_learned", actx).as_u64(actx + ".keys_learned");
-  }
-  c.events_executed =
-      row.required("events_executed", ctx).as_u64(ctx + ".events_executed");
-  c.blacklisted_sources = row.required("blacklisted_sources", ctx)
-                              .as_u64(ctx + ".blacklisted_sources");
-  {
-    const std::string tctx = ctx + ".traffic";
-    const Value& t = row.required("traffic", ctx);
-    check_keys(t, tctx,
-               {"offered", "completed", "timed_out", "gave_up", "retries",
-                "rejected_responses", "enqueued", "served", "shed",
-                "backpressured", "degraded", "dropped_on_reboot",
-                "max_queue_depth", "goodput_bits", "latency_bins"});
-    c.traffic.offered = t.required("offered", tctx).as_u64(tctx + ".offered");
-    c.traffic.completed =
-        t.required("completed", tctx).as_u64(tctx + ".completed");
-    c.traffic.timed_out =
-        t.required("timed_out", tctx).as_u64(tctx + ".timed_out");
-    c.traffic.gave_up = t.required("gave_up", tctx).as_u64(tctx + ".gave_up");
-    c.traffic.retries = t.required("retries", tctx).as_u64(tctx + ".retries");
-    c.traffic.rejected_responses = t.required("rejected_responses", tctx)
-                                       .as_u64(tctx + ".rejected_responses");
-    c.traffic.enqueued =
-        t.required("enqueued", tctx).as_u64(tctx + ".enqueued");
-    c.traffic.served = t.required("served", tctx).as_u64(tctx + ".served");
-    c.traffic.shed = t.required("shed", tctx).as_u64(tctx + ".shed");
-    c.traffic.backpressured =
-        t.required("backpressured", tctx).as_u64(tctx + ".backpressured");
-    c.traffic.degraded =
-        t.required("degraded", tctx).as_u64(tctx + ".degraded");
-    c.traffic.dropped_on_reboot = t.required("dropped_on_reboot", tctx)
-                                      .as_u64(tctx + ".dropped_on_reboot");
-    c.traffic.max_queue_depth =
-        t.required("max_queue_depth", tctx).as_u64(tctx + ".max_queue_depth");
-    c.traffic.goodput =
-        bits_double(t.required("goodput_bits", tctx).as_string(tctx),
-                    tctx + ".goodput_bits");
-    c.traffic.latency = read_histogram(t.required("latency_bins", tctx),
-                                       tctx + ".latency_bins");
-  }
-  {
-    const std::string pctx = ctx + ".population";
-    const Value& p = row.required("population", ctx);
-    check_keys(p, pctx,
-               {"offered", "completed", "timed_out", "gave_up", "retries",
-                "rejected_responses", "skipped_busy", "latency_bins"});
-    c.population.offered =
-        p.required("offered", pctx).as_u64(pctx + ".offered");
-    c.population.completed =
-        p.required("completed", pctx).as_u64(pctx + ".completed");
-    c.population.timed_out =
-        p.required("timed_out", pctx).as_u64(pctx + ".timed_out");
-    c.population.gave_up =
-        p.required("gave_up", pctx).as_u64(pctx + ".gave_up");
-    c.population.retries =
-        p.required("retries", pctx).as_u64(pctx + ".retries");
-    c.population.rejected_responses = p.required("rejected_responses", pctx)
-                                          .as_u64(pctx +
-                                                  ".rejected_responses");
-    c.population.skipped_busy =
-        p.required("skipped_busy", pctx).as_u64(pctx + ".skipped_busy");
-    c.population.latency = read_histogram(p.required("latency_bins", pctx),
-                                          pctx + ".latency_bins");
-  }
+  const std::uint64_t index = r.u64("index");
+  c.system = system_kind_from_string(r.str("system"), ctx);
+  c.plan_name = r.str("plan_name");
+  fields::for_each<CellStats>(
+      [&](const auto& f) { read_value(r, f.name, c.*f.member); });
+  r.done();
   return {index, std::move(c)};
 }
 
@@ -394,10 +216,6 @@ std::string campaign_spec_to_json(const CampaignSpec& spec) {
   w.value(spec.config.adaptive.enabled);
   w.key("round_trials");
   w.value(spec.config.adaptive.round_trials);
-  w.key("target_rel_ci");
-  w.value(spec.config.adaptive.target_rel_ci);
-  w.key("abs_ci_floor");
-  w.value(spec.config.adaptive.abs_ci_floor);
   w.key("max_trials_per_cell");
   w.value(spec.config.adaptive.max_trials_per_cell);
   w.key("work_stealing");
@@ -455,94 +273,68 @@ std::string campaign_spec_to_json(const CampaignSpec& spec) {
 
 CampaignSpec campaign_spec_from_json(std::string_view text) {
   const Value root = json::parse(text);
-  const std::string ctx = "campaign spec";
-  check_keys(root, ctx,
-             {"schema", "name", "description", "base_seed", "threads",
-              "ci_level", "scheduler", "reuse_trial_stacks",
-              "trials_per_cell", "adaptive", "systems", "plans"});
-
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
+  ObjectReader r(root, "campaign spec");
+  const std::string& schema = r.str("schema");
   if (schema != kSpecSchema) {
-    throw ParseError(ctx + ".schema: expected \"" + kSpecSchema +
+    throw ParseError(r.member_ctx("schema") + ": expected \"" + kSpecSchema +
                      "\", got \"" + schema + "\"");
   }
 
   CampaignSpec spec;
-  spec.name = root.required("name", ctx).as_string(ctx + ".name");
-  spec.description =
-      root.required("description", ctx).as_string(ctx + ".description");
-  spec.config.base_seed =
-      root.required("base_seed", ctx).as_u64(ctx + ".base_seed");
-  spec.config.threads = static_cast<unsigned>(
-      root.required("threads", ctx).as_u64(ctx + ".threads"));
-  spec.config.ci_level =
-      root.required("ci_level", ctx).as_double(ctx + ".ci_level");
-  spec.config.scheduler = scheduler_from_string(
-      root.required("scheduler", ctx).as_string(ctx + ".scheduler"),
-      ctx + ".scheduler");
-  spec.config.reuse_trial_stacks = root.required("reuse_trial_stacks", ctx)
-                                       .as_bool(ctx + ".reuse_trial_stacks");
-  spec.config.trials_per_cell =
-      root.required("trials_per_cell", ctx).as_u64(ctx + ".trials_per_cell");
+  CampaignConfig& cfg = spec.config;
+  spec.name = r.str("name");
+  spec.description = r.str("description");
+  cfg.base_seed = r.u64("base_seed");
+  cfg.threads = r.u32("threads");
+  cfg.ci_level = r.dbl("ci_level");
+  cfg.scheduler =
+      scheduler_from_string(r.str("scheduler"), r.member_ctx("scheduler"));
+  cfg.reuse_trial_stacks = r.boolean("reuse_trial_stacks");
+  cfg.trials_per_cell = r.u64("trials_per_cell");
   {
-    const std::string actx = ctx + ".adaptive";
-    const Value& a = root.required("adaptive", ctx);
-    check_keys(a, actx,
-               {"enabled", "round_trials", "target_rel_ci", "abs_ci_floor",
-                "max_trials_per_cell", "work_stealing", "rules"});
-    spec.config.adaptive.enabled =
-        a.required("enabled", actx).as_bool(actx + ".enabled");
-    spec.config.adaptive.round_trials =
-        a.required("round_trials", actx).as_u64(actx + ".round_trials");
-    spec.config.adaptive.target_rel_ci =
-        a.required("target_rel_ci", actx).as_double(actx + ".target_rel_ci");
-    spec.config.adaptive.abs_ci_floor =
-        a.required("abs_ci_floor", actx).as_double(actx + ".abs_ci_floor");
-    spec.config.adaptive.max_trials_per_cell =
-        a.required("max_trials_per_cell", actx)
-            .as_u64(actx + ".max_trials_per_cell");
-    spec.config.adaptive.work_stealing =
-        a.required("work_stealing", actx).as_bool(actx + ".work_stealing");
-    const auto& rules =
-        a.required("rules", actx).as_array(actx + ".rules");
+    ObjectReader a(r.required("adaptive"), r.member_ctx("adaptive"));
+    cfg.adaptive.enabled = a.boolean("enabled");
+    cfg.adaptive.round_trials = a.u64("round_trials");
+    cfg.adaptive.max_trials_per_cell = a.u64("max_trials_per_cell");
+    cfg.adaptive.work_stealing = a.boolean("work_stealing");
+    const auto& rules = a.array("rules");
+    cfg.adaptive.rules.clear();
     for (std::size_t i = 0; i < rules.size(); ++i) {
-      const std::string rctx = actx + ".rules[" + std::to_string(i) + "]";
-      const Value& rv = rules[i];
-      check_keys(rv, rctx, {"metric", "quantile", "target_rel", "abs_floor"});
-      StoppingRule r;
-      r.metric = metric_from_string(
-          rv.required("metric", rctx).as_string(rctx + ".metric"),
-          rctx + ".metric");
-      r.quantile =
-          rv.required("quantile", rctx).as_double(rctx + ".quantile");
-      r.target_rel =
-          rv.required("target_rel", rctx).as_double(rctx + ".target_rel");
-      r.abs_floor =
-          rv.required("abs_floor", rctx).as_double(rctx + ".abs_floor");
-      spec.config.adaptive.rules.push_back(r);
+      ObjectReader rr(rules[i], a.member_ctx("rules") + "[" +
+                                    std::to_string(i) + "]");
+      StoppingRule rule;
+      rule.metric = metric_from_string(rr.str("metric"),
+                                       rr.member_ctx("metric"));
+      rule.quantile = rr.dbl("quantile");
+      rule.target_rel = rr.dbl("target_rel");
+      rule.abs_floor = rr.dbl("abs_floor");
+      rr.done();
+      cfg.adaptive.rules.push_back(rule);
     }
+    a.done();
   }
-  for (const Value& s :
-       root.required("systems", ctx).as_array(ctx + ".systems")) {
+  for (const Value& s : r.array("systems")) {
     spec.systems.push_back(system_kind_from_string(
-        s.as_string(ctx + ".systems element"), ctx + ".systems"));
+        s.as_string(r.member_ctx("systems") + " element"),
+        r.member_ctx("systems")));
   }
   if (spec.systems.empty()) {
-    throw ParseError(ctx + ".systems: must list at least one system class");
+    throw ParseError(r.member_ctx("systems") +
+                     ": must list at least one system class");
   }
-  const auto& plans = root.required("plans", ctx).as_array(ctx + ".plans");
+  const auto& plans = r.array("plans");
   if (plans.empty()) {
-    throw ParseError(ctx + ".plans: must list at least one plan");
+    throw ParseError(r.member_ctx("plans") + ": must list at least one plan");
   }
-  for (std::size_t i = 0; i < plans.size(); ++i) {
+  for (const Value& plan : plans) {
     // Re-encode the subtree compactly (reemit keeps number lexemes
     // verbatim) and strict-decode through the plan codec, so every plan
     // obeys exactly the plan fixture contract.
     Writer w(/*compact=*/true);
-    reemit(w, plans[i]);
+    reemit(w, plan);
     spec.plans.push_back(plan_from_json(w.str()));
   }
+  r.done();
   return spec;
 }
 
@@ -670,42 +462,35 @@ std::string shard_result_to_json(const ShardResult& result) {
 
 ShardResult shard_result_from_json(std::string_view text) {
   const Value root = json::parse(text);
-  const std::string ctx = "shard result";
-  check_keys(root, ctx,
-             {"schema", "shard", "n_shards", "n_cells", "spec_digest",
-              "cells"});
-  const std::string& schema =
-      root.required("schema", ctx).as_string(ctx + ".schema");
+  ObjectReader r(root, "shard result");
+  const std::string& schema = r.str("schema");
   if (schema != kShardSchema) {
-    throw ParseError(ctx + ".schema: expected \"" + kShardSchema +
-                     "\", got \"" + schema + "\"");
+    throw ParseError(r.member_ctx("schema") + ": expected \"" +
+                     kShardSchema + "\", got \"" + schema + "\"");
   }
-  ShardResult r;
-  r.shard = static_cast<std::uint32_t>(
-      root.required("shard", ctx).as_u64(ctx + ".shard"));
-  r.n_shards = static_cast<std::uint32_t>(
-      root.required("n_shards", ctx).as_u64(ctx + ".n_shards"));
-  r.n_cells = root.required("n_cells", ctx).as_u64(ctx + ".n_cells");
-  r.spec_digest = parse_hex64(
-      root.required("spec_digest", ctx).as_string(ctx + ".spec_digest"),
-      ctx + ".spec_digest");
-  if (r.n_shards < 1 || r.shard >= r.n_shards) {
-    throw ParseError(ctx + ": shard " + std::to_string(r.shard) +
-                     " outside n_shards " + std::to_string(r.n_shards));
+  ShardResult result;
+  result.shard = r.u32("shard");
+  result.n_shards = r.u32("n_shards");
+  result.n_cells = r.u64("n_cells");
+  result.spec_digest =
+      parse_hex64(r.str("spec_digest"), r.member_ctx("spec_digest"));
+  if (result.n_shards < 1 || result.shard >= result.n_shards) {
+    throw ParseError("shard result: shard " + std::to_string(result.shard) +
+                     " outside n_shards " + std::to_string(result.n_shards));
   }
-  const auto& rows = root.required("cells", ctx).as_array(ctx + ".cells");
-  std::uint64_t prev = 0;
+  const auto& rows = r.array("cells");
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const std::string rctx = ctx + ".cells[" + std::to_string(i) + "]";
+    const std::string rctx = r.member_ctx("cells") + "[" +
+                             std::to_string(i) + "]";
     auto [index, stats] = read_cell(rows[i], rctx);
-    if (i > 0 && index <= prev) {
+    if (i > 0 && index <= result.cell_indices.back()) {
       throw ParseError(rctx + ": cell indices must be strictly ascending");
     }
-    prev = index;
-    r.cell_indices.push_back(index);
-    r.cells.push_back(std::move(stats));
+    result.cell_indices.push_back(index);
+    result.cells.push_back(std::move(stats));
   }
-  return r;
+  r.done();
+  return result;
 }
 
 std::string campaign_result_to_json(const CampaignResult& result) {

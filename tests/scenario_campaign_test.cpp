@@ -417,7 +417,7 @@ TEST(AdaptiveCampaignTest, AggregatesBitIdenticalForAnyThreadCount) {
   cfg.base_seed = 31337;
   cfg.adaptive.enabled = true;
   cfg.adaptive.round_trials = 4;
-  cfg.adaptive.target_rel_ci = 0.15;
+  cfg.adaptive.rules = {{StoppingRule::Metric::MeanLifetime, 0.99, 0.15, 0.5}};
   cfg.adaptive.max_trials_per_cell = 24;
 
   cfg.threads = 1;
@@ -464,7 +464,7 @@ TEST(AdaptiveCampaignTest, LowVarianceCellStopsEarlyAndMeetsTarget) {
   cfg.base_seed = 7;
   cfg.adaptive.enabled = true;
   cfg.adaptive.round_trials = 6;
-  cfg.adaptive.target_rel_ci = 0.05;
+  cfg.adaptive.rules = {{StoppingRule::Metric::MeanLifetime, 0.99, 0.05, 0.5}};
   cfg.adaptive.max_trials_per_cell = 120;
   const CampaignResult r = run_campaign(cells, cfg);
 
@@ -473,13 +473,13 @@ TEST(AdaptiveCampaignTest, LowVarianceCellStopsEarlyAndMeetsTarget) {
   EXPECT_EQ(low.trials, cfg.adaptive.round_trials);
   EXPECT_EQ(low.rounds, 1u);
   const double low_half = (low.lifetime_ci.hi - low.lifetime_ci.lo) / 2.0;
-  EXPECT_LE(low_half, cfg.adaptive.target_rel_ci * low.mean_lifetime());
+  const double target_rel = cfg.adaptive.rules[0].target_rel;
+  EXPECT_LE(low_half, target_rel * low.mean_lifetime());
   EXPECT_GT(high.trials, low.trials);
   EXPECT_GT(high.rounds, 1u);
   // The high-variance cell either met the target or ran to the cap.
   const double high_half = (high.lifetime_ci.hi - high.lifetime_ci.lo) / 2.0;
-  EXPECT_TRUE(high_half <=
-                  cfg.adaptive.target_rel_ci * high.mean_lifetime() ||
+  EXPECT_TRUE(high_half <= target_rel * high.mean_lifetime() ||
               high.trials == cfg.adaptive.max_trials_per_cell);
 }
 
@@ -506,8 +506,7 @@ TEST(AdaptiveCampaignTest, CapClosedCellStillReportsValidCI) {
   cfg.base_seed = 13;
   cfg.adaptive.enabled = true;
   cfg.adaptive.round_trials = 4;
-  cfg.adaptive.target_rel_ci = 1e-9;
-  cfg.adaptive.abs_ci_floor = 1e-9;
+  cfg.adaptive.rules = {{StoppingRule::Metric::MeanLifetime, 0.99, 1e-9, 1e-9}};
   cfg.adaptive.max_trials_per_cell = 12;
   const CampaignResult r = run_campaign(cells, cfg);
   const CellStats& c = r.cells[0];

@@ -30,12 +30,33 @@ CampaignSpec smoke_spec() {
   spec.config.threads = 2;
   spec.config.adaptive.enabled = true;
   spec.config.adaptive.round_trials = 4;
-  spec.config.adaptive.target_rel_ci = 0.15;
+  spec.config.adaptive.rules = {
+      {StoppingRule::Metric::MeanLifetime, 0.99, 0.15, 0.5}};
   spec.config.adaptive.max_trials_per_cell = 16;
   spec.systems = {model::SystemKind::S1, model::SystemKind::S2};
   spec.plans = {fast_plan(64, 8.0, 0.5, 40), fast_plan(128, 8.0, 0.25, 40)};
   spec.plans[1].name = "quarter-kappa";
   return spec;
+}
+
+/// The ParseError message `decode` throws ("" when it does not throw).
+template <class Decode>
+std::string parse_error(Decode&& decode) {
+  try {
+    decode();
+  } catch (const json::ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
 }
 
 void expect_cells_bit_identical(const CellStats& a, const CellStats& b) {
@@ -221,6 +242,15 @@ TEST(ShardSpecTest, StrictDecodeRejectsMalformedSpecs) {
   // Truncated document.
   EXPECT_THROW(campaign_spec_from_json(good.substr(0, good.size() / 2)),
                json::ParseError);
+  // A thread count past 32 bits is rejected, not wrapped (2^32 + 2 used to
+  // decode as 2 threads), and the error names the field.
+  {
+    const std::string bad =
+        replaced(good, "\"threads\": 2,", "\"threads\": 4294967298,");
+    EXPECT_NE(parse_error([&] { campaign_spec_from_json(bad); })
+                  .find("campaign spec.threads"),
+              std::string::npos);
+  }
 }
 
 TEST(ShardSidecarTest, StrictDecodeRejectsTamperedSidecars) {
@@ -248,6 +278,22 @@ TEST(ShardSidecarTest, StrictDecodeRejectsTamperedSidecars) {
     ASSERT_NE(at, std::string::npos);
     bad.insert(bad.find('[', at) + 1, "\n          0,");
     EXPECT_THROW(shard_result_from_json(bad), json::ParseError);
+  }
+  // Shard ids past 32 bits are rejected, not wrapped (2^32 + k used to
+  // decode as k, a valid id), and the error names the field.
+  {
+    const std::string bad =
+        replaced(text, "\"shard\": 0,", "\"shard\": 4294967296,");
+    EXPECT_NE(parse_error([&] { shard_result_from_json(bad); })
+                  .find("shard result.shard"),
+              std::string::npos);
+  }
+  {
+    const std::string bad =
+        replaced(text, "\"n_shards\": 2,", "\"n_shards\": 4294967298,");
+    EXPECT_NE(parse_error([&] { shard_result_from_json(bad); })
+                  .find("shard result.n_shards"),
+              std::string::npos);
   }
 }
 

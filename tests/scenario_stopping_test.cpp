@@ -21,6 +21,11 @@ net::ScenarioPlan fast_plan(std::uint64_t chi, double omega, double kappa,
   return plan;
 }
 
+/// A single mean-lifetime rule with the given legs.
+std::vector<StoppingRule> mean_rule(double target_rel, double abs_floor) {
+  return {{StoppingRule::Metric::MeanLifetime, 0.99, target_rel, abs_floor}};
+}
+
 // --- the zero/near-zero-mean stall fix ------------------------------------
 
 TEST(StoppingBudgetTest, NearZeroMeanCellClosesOnAbsoluteFloor) {
@@ -37,7 +42,6 @@ TEST(StoppingBudgetTest, NearZeroMeanCellClosesOnAbsoluteFloor) {
   cfg.base_seed = 7;
   cfg.adaptive.enabled = true;
   cfg.adaptive.round_trials = 32;
-  cfg.adaptive.target_rel_ci = 0.10;
   cfg.adaptive.max_trials_per_cell = 512;
   const CampaignResult r = run_campaign(cells, cfg);
   EXPECT_EQ(r.cells[0].trials, 32u);
@@ -58,8 +62,7 @@ TEST(StoppingBudgetTest, DisablingTheFloorReproducesTheStall) {
   cfg.base_seed = 7;
   cfg.adaptive.enabled = true;
   cfg.adaptive.round_trials = 32;
-  cfg.adaptive.target_rel_ci = 0.10;
-  cfg.adaptive.abs_ci_floor = 0.0;
+  cfg.adaptive.rules = mean_rule(0.10, 0.0);
   cfg.adaptive.max_trials_per_cell = 128;
   const CampaignResult r = run_campaign(cells, cfg);
   EXPECT_EQ(r.cells[0].trials, cfg.adaptive.max_trials_per_cell);
@@ -188,30 +191,24 @@ TEST(MultiMetricTest, EveryRuleMustHoldBeforeTheCellCloses) {
   }
 }
 
-TEST(MultiMetricTest, EmptyRulesEqualsDefaultMeanRule) {
-  // effective_rules() synthesizes the default rule from the legacy knobs;
-  // spelling that rule out explicitly must be bit-identical.
+TEST(MultiMetricTest, EmptyRulesAreRejected) {
+  // An empty rule set would be vacuously satisfied and close every cell
+  // after its first round, so adaptive mode refuses it. Fixed mode never
+  // consults the rules.
   std::vector<CampaignCell> cells = {
       {model::SystemKind::S1, fast_plan(128, 8.0, 0.5, 60)}};
   CampaignConfig cfg;
   cfg.base_seed = 31337;
   cfg.adaptive.enabled = true;
   cfg.adaptive.round_trials = 4;
-  cfg.adaptive.target_rel_ci = 0.15;
   cfg.adaptive.max_trials_per_cell = 32;
-  const CampaignResult implicit = run_campaign(cells, cfg);
+  ASSERT_FALSE(cfg.adaptive.rules.empty());
+  cfg.adaptive.rules.clear();
+  EXPECT_THROW(run_campaign(cells, cfg), ContractViolation);
 
-  StoppingRule def;
-  def.target_rel = cfg.adaptive.target_rel_ci;
-  def.abs_floor = cfg.adaptive.abs_ci_floor;
-  cfg.adaptive.rules = {def};
-  const CampaignResult explicit_rule = run_campaign(cells, cfg);
-  EXPECT_EQ(implicit.cells[0].trials, explicit_rule.cells[0].trials);
-  EXPECT_EQ(implicit.cells[0].rounds, explicit_rule.cells[0].rounds);
-  EXPECT_EQ(implicit.cells[0].lifetime.mean(),
-            explicit_rule.cells[0].lifetime.mean());
-  EXPECT_EQ(implicit.cells[0].lifetime.variance(),
-            explicit_rule.cells[0].lifetime.variance());
+  cfg.adaptive.enabled = false;
+  cfg.trials_per_cell = 2;
+  EXPECT_EQ(run_campaign(cells, cfg).cells[0].trials, 2u);
 }
 
 // --- work-stealing rounds -------------------------------------------------
@@ -240,8 +237,9 @@ TEST(WorkStealingTest, ReissuesClosedCellCapacityAndPreservesAggregates) {
                                      {model::SystemKind::S1, noisy}};
 
   CampaignConfig base = steal_config(false);
-  base.adaptive.target_rel_ci = 1e-9;  // unreachable: noisy runs to cap
-  base.adaptive.abs_ci_floor = 0.5;    // ...but calm (zero variance) closes
+  // Unreachable relative target: noisy runs to the cap, but calm (zero
+  // variance) closes on the floor.
+  base.adaptive.rules = mean_rule(1e-9, 0.5);
   base.adaptive.max_trials_per_cell = 24;
   const CampaignResult legacy = run_campaign(cells, base);
 
@@ -280,8 +278,7 @@ TEST(WorkStealingTest, EqualsLegacyScheduleWhileEveryCellIsOpen) {
       cross({model::SystemKind::S1, model::SystemKind::S2}, plans);
 
   CampaignConfig base = steal_config(false);
-  base.adaptive.target_rel_ci = 1e-9;
-  base.adaptive.abs_ci_floor = 1e-9;
+  base.adaptive.rules = mean_rule(1e-9, 1e-9);
   base.adaptive.max_trials_per_cell = 12;
   const CampaignResult legacy = run_campaign(cells, base);
   CampaignConfig steal = base;
@@ -314,7 +311,7 @@ TEST(WorkStealingTest, BitIdenticalForAnyThreadCountAndIsolation) {
                                      {model::SystemKind::S1, noisy}};
 
   CampaignConfig cfg = steal_config(true);
-  cfg.adaptive.target_rel_ci = 0.15;
+  cfg.adaptive.rules = mean_rule(0.15, 0.5);
   cfg.adaptive.max_trials_per_cell = 24;
   cfg.threads = 1;
   const CampaignResult serial = run_campaign(cells, cfg);
