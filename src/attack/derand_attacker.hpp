@@ -63,12 +63,12 @@ struct AttackerStats {
   /// The field list (common/fields.hpp); every counter sums across trials.
   static constexpr auto fields() {
     using S = AttackerStats;
-    using fields::field;
-    return std::tuple{field("direct_probes", &S::direct_probes),
-                      field("indirect_probes", &S::indirect_probes),
-                      field("crashes_caused", &S::crashes_caused),
-                      field("compromises", &S::compromises),
-                      field("keys_learned", &S::keys_learned)};
+    using fields::Field;
+    return std::tuple{Field{"direct_probes", &S::direct_probes},
+                      Field{"indirect_probes", &S::indirect_probes},
+                      Field{"crashes_caused", &S::crashes_caused},
+                      Field{"compromises", &S::compromises},
+                      Field{"keys_learned", &S::keys_learned}};
   }
   void merge(const AttackerStats& o) { fields::merge(*this, o); }
 };

@@ -31,12 +31,6 @@ struct Field {
   Reduce reduce = Reduce::Sum;
 };
 
-template <class S, class T>
-constexpr Field<S, T> field(const char* name, T S::*member,
-                            Reduce reduce = Reduce::Sum) {
-  return {name, member, reduce};
-}
-
 /// True for a struct that carries a field list.
 template <class S>
 concept Aggregate = requires { S::fields(); };

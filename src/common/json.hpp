@@ -87,12 +87,12 @@ class Value {
   std::vector<std::pair<std::string, Value>> members_;
 };
 
-/// Strict object reader for the fixed-layout codecs (plans, campaign specs,
-/// shard sidecars): each accessor marks its member consumed, and done()
-/// rejects members the codec never asked for — that is what turns an
-/// unknown or misspelled key into a load-time error instead of a silently
-/// default-valued field. Every error names the member path. The reader
-/// refers to `v`'s members; `v` must outlive it.
+/// Strict object reader for the fixed-layout codecs (plans, corpus entries,
+/// campaign specs, shard sidecars): each accessor marks its member consumed,
+/// and done() rejects members the codec never asked for — that is what
+/// turns an unknown or misspelled key into a load-time error instead of a
+/// silently default-valued field. Every error names the member path. The
+/// reader refers to `v`'s members; `v` must outlive it.
 class ObjectReader {
  public:
   ObjectReader(const Value& v, std::string ctx);

@@ -68,15 +68,15 @@ struct PopulationStats {
   /// The field list (common/fields.hpp).
   static constexpr auto fields() {
     using S = PopulationStats;
-    using fields::field;
-    return std::tuple{field("offered", &S::offered),
-                      field("completed", &S::completed),
-                      field("timed_out", &S::timed_out),
-                      field("gave_up", &S::gave_up),
-                      field("retries", &S::retries),
-                      field("rejected_responses", &S::rejected_responses),
-                      field("skipped_busy", &S::skipped_busy),
-                      field("latency_bins", &S::latency)};
+    using fields::Field;
+    return std::tuple{Field{"offered", &S::offered},
+                      Field{"completed", &S::completed},
+                      Field{"timed_out", &S::timed_out},
+                      Field{"gave_up", &S::gave_up},
+                      Field{"retries", &S::retries},
+                      Field{"rejected_responses", &S::rejected_responses},
+                      Field{"skipped_busy", &S::skipped_busy},
+                      Field{"latency_bins", &S::latency}};
   }
   void merge(const PopulationStats& o) { fields::merge(*this, o); }
 };

@@ -76,23 +76,23 @@ struct TrafficStats {
   /// The field list (common/fields.hpp).
   static constexpr auto fields() {
     using S = TrafficStats;
-    using fields::field;
+    using fields::Field;
     return std::tuple{
-        field("offered", &S::offered),
-        field("completed", &S::completed),
-        field("timed_out", &S::timed_out),
-        field("gave_up", &S::gave_up),
-        field("retries", &S::retries),
-        field("rejected_responses", &S::rejected_responses),
-        field("enqueued", &S::enqueued),
-        field("served", &S::served),
-        field("shed", &S::shed),
-        field("backpressured", &S::backpressured),
-        field("degraded", &S::degraded),
-        field("dropped_on_reboot", &S::dropped_on_reboot),
-        field("max_queue_depth", &S::max_queue_depth, fields::Reduce::Max),
-        field("goodput_bits", &S::goodput),
-        field("latency_bins", &S::latency)};
+        Field{"offered", &S::offered},
+        Field{"completed", &S::completed},
+        Field{"timed_out", &S::timed_out},
+        Field{"gave_up", &S::gave_up},
+        Field{"retries", &S::retries},
+        Field{"rejected_responses", &S::rejected_responses},
+        Field{"enqueued", &S::enqueued},
+        Field{"served", &S::served},
+        Field{"shed", &S::shed},
+        Field{"backpressured", &S::backpressured},
+        Field{"degraded", &S::degraded},
+        Field{"dropped_on_reboot", &S::dropped_on_reboot},
+        Field{"max_queue_depth", &S::max_queue_depth, fields::Reduce::Max},
+        Field{"goodput_bits", &S::goodput},
+        Field{"latency_bins", &S::latency}};
   }
   void merge(const TrafficStats& o) { fields::merge(*this, o); }
 };
@@ -265,18 +265,18 @@ struct CellStats {
   /// a cell is reduced trial by trial (run_campaign's absorb step).
   static constexpr auto fields() {
     using S = CellStats;
-    using fields::field;
-    return std::tuple{field("trials", &S::trials),
-                      field("rounds", &S::rounds),
-                      field("compromised", &S::compromised),
-                      field("censored", &S::censored),
-                      field("lifetime", &S::lifetime),
-                      field("lifetime_ci", &S::lifetime_ci),
-                      field("attacker", &S::attacker),
-                      field("events_executed", &S::events_executed),
-                      field("blacklisted_sources", &S::blacklisted_sources),
-                      field("traffic", &S::traffic),
-                      field("population", &S::population)};
+    using fields::Field;
+    return std::tuple{Field{"trials", &S::trials},
+                      Field{"rounds", &S::rounds},
+                      Field{"compromised", &S::compromised},
+                      Field{"censored", &S::censored},
+                      Field{"lifetime", &S::lifetime},
+                      Field{"lifetime_ci", &S::lifetime_ci},
+                      Field{"attacker", &S::attacker},
+                      Field{"events_executed", &S::events_executed},
+                      Field{"blacklisted_sources", &S::blacklisted_sources},
+                      Field{"traffic", &S::traffic},
+                      Field{"population", &S::population}};
   }
 
   double mean_lifetime() const {

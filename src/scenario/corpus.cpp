@@ -115,7 +115,8 @@ CorpusEntry corpus_entry_from_json(std::string_view text) {
   r.done();
 
   if (!e.golden.empty() && e.golden.size() != e.systems.size()) {
-    throw ParseError("corpus entry: golden has " + std::to_string(e.golden.size()) +
+    throw ParseError("corpus entry: golden has " +
+                     std::to_string(e.golden.size()) +
                      " rows but systems lists " +
                      std::to_string(e.systems.size()) + " classes");
   }

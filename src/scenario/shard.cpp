@@ -177,7 +177,7 @@ std::pair<std::uint64_t, CellStats> read_cell(const Value& row,
   ObjectReader r(row, ctx);
   CellStats c;
   const std::uint64_t index = r.u64("index");
-  c.system = system_kind_from_string(r.str("system"), ctx);
+  c.system = system_kind_from_string(r.str("system"), r.member_ctx("system"));
   c.plan_name = r.str("plan_name");
   fields::for_each<CellStats>(
       [&](const auto& f) { read_value(r, f.name, c.*f.member); });
